@@ -295,8 +295,12 @@ void BM_AllowedTokensBitset(benchmark::State& state) {
   model::DecodingRules rules;
   rules.top_k = 40;
   rules.top_p = 0.9;
+  util::TokenBitset mask;
+  model::RuleMaskScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model::allowed_tokens(log_probs, rules));
+    model::allowed_tokens(log_probs, rules, mask, scratch);
+    benchmark::DoNotOptimize(mask.words().data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_AllowedTokensBitset)->Arg(1024)->Arg(8192);

@@ -97,9 +97,9 @@ fi
 mv -f "$TMP_OUT" "$OUT"
 echo "[bench] $OUT"
 
-# Keep exactly one checked-in snapshot: when writing the default repo-root
+# Keep only the newest snapshot: when writing the default repo-root
 # BENCH_<date>.json, prune older-dated siblings (a custom RELM_BENCH_OUT is
-# somebody's scratch file — leave the checked-in snapshot alone then).
+# somebody's scratch file — leave the repo-root snapshot alone then).
 case "$OUT" in
   BENCH_*.json)
     for old in BENCH_*.json; do

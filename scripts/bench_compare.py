@@ -22,10 +22,10 @@ serial_streams_64 baseline, and the achieved tick occupancy) is gated the
 same way. Exit status: 0 when nothing regressed, 1 on any regression, 2 on
 malformed input.
 
-Typical use — local check against the committed baseline:
+Typical use — local check against a baseline snapshot of the base commit:
 
     scripts/bench.sh 1.0
-    scripts/bench_compare.py BENCH_20260806.json BENCH_$(date +%Y%m%d).json
+    scripts/bench_compare.py BENCH_<base>.json BENCH_$(date +%Y%m%d).json
 
 CI's bench-gate regenerates the baseline from the PR base commit on the same
 runner before comparing, so both snapshots see identical hardware.

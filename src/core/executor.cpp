@@ -14,7 +14,6 @@
 
 namespace relm::core {
 
-using model::allowed_tokens;
 using tokenizer::TokenId;
 
 namespace {
@@ -116,7 +115,7 @@ ShortestPathSearch::ShortestPathSearch(const model::LanguageModel& model,
       query_(query),
       pipeline_(query.speculative_expansion) {
   cache_baseline_ = cache_baseline_of(model_, model_has_cache_);
-  if (pipeline_ && !query_.decoding.unrestricted()) {
+  if (pipeline_ && !query_.decoding.admits_all(model_.vocab_size())) {
     // Masks are only valid for one (rules, vocabulary) combination; the tag
     // lets a run share one memo across its queries while a mismatched memo
     // silently degrades to a private (cold but correct) one.
@@ -191,10 +190,8 @@ void ShortestPathSearch::expand(std::int32_t node_id,
   Node node = nodes_[node_id];  // copy: nodes_ may reallocate below
   if (node.depth >= seq_limit) return;
 
-  util::TokenBitset mask;
-  if (!query_.decoding.unrestricted()) {
-    mask = allowed_tokens(lp, query_.decoding);
-  }
+  model::allowed_tokens(lp, query_.decoding, rule_mask_, rule_scratch_);
+  const util::TokenBitset& mask = rule_mask_;
 
   // Dynamic canonical pruning needs the body token subsequence, which is the
   // last `body_len` tokens of the path (tracked per node across the
@@ -425,22 +422,18 @@ void ShortestPathSearch::evaluate_slot(const SlotTask& task,
   RELM_DCHECK(lp.size() == model_.vocab_size(),
               "model distribution size must equal the vocabulary");
 
-  if (!query_.decoding.unrestricted()) {
-    if (task.memo_mask) {
-      out.mask = task.memo_mask;
-      out.mask_from_memo = true;
-    } else {
-      // Freshly allocated because the memo publishes it to later searches;
-      // the value-select variant still avoids the index permutation.
-      auto fresh = std::make_shared<util::TokenBitset>();
-      model::allowed_tokens_into(lp, query_.decoding, *fresh,
-                                 out.value_scratch);
-      out.mask = std::move(fresh);
-    }
+  // A memo exists exactly when the rules restrict this vocabulary; without
+  // one the rules admit every token and the kernel is not called at all.
+  if (task.memo_mask) {
+    out.mask = task.memo_mask;
+    out.mask_from_memo = true;
+  } else if (mask_memo_) {
+    // Freshly allocated because the memo publishes it to later searches.
+    auto fresh = std::make_shared<util::TokenBitset>();
+    model::allowed_tokens(lp, query_.decoding, *fresh, out.rule_scratch);
+    out.mask = std::move(fresh);
   }
-  // An empty bitset means "no restriction" (mirrors the lockstep path).
-  const util::TokenBitset* mask =
-      out.mask && !out.mask->empty() ? out.mask.get() : nullptr;
+  const util::TokenBitset* mask = out.mask.get();
 
   const bool fast = query_.use_token_masks && compiled_.has_masks();
   if (fast) {
@@ -514,7 +507,6 @@ void ShortestPathSearch::pump_pipeline() {
   const std::size_t seq_limit = std::min(
       query_.sequence_length.value_or(model_.max_sequence_length()),
       model_.max_sequence_length());
-  const bool restricted = !query_.decoding.unrestricted();
 
   // ---- Selection: a pure function of (frontier, budget, knobs) — never of
   // thread count or timing, which is what keeps outputs byte-identical
@@ -609,7 +601,7 @@ void ShortestPathSearch::pump_pipeline() {
     stats_.mask_pruned += out.mask_pruned;
     stats_.pruned_by_rules += out.pruned_rules;
     stats_.pruned_non_canonical += out.pruned_non_canonical;
-    if (restricted && out.mask) {
+    if (out.mask) {
       if (out.mask_from_memo) {
         ++stats_.mask_memo_hits;
       } else {
@@ -837,6 +829,81 @@ bool RandomSampler::sample_prefix_tokens(std::vector<TokenId>& out) {
   return pa.is_final(state);
 }
 
+std::size_t sample_body_step(const CompiledQuery& compiled,
+                             const SimpleSearchQuery& query,
+                             const model::DecodingRules& rules, TokenId eos,
+                             automata::StateId state,
+                             std::span<const TokenId> body_tokens,
+                             const std::string& body_text,
+                             std::span<const double> lp, util::Pcg32& rng,
+                             BodyStepScratch& scratch, PruneStats& stats) {
+  const automata::Dfa& ba = compiled.body_automaton();
+  auto edges = ba.edges(state);
+  model::allowed_tokens(lp, rules, scratch.rule_mask, scratch.rule);
+  const util::TokenBitset& mask = scratch.rule_mask;
+
+  // Candidate weights: surviving automaton edges (plus EOS-as-stop at final
+  // states), renormalized over true model probabilities (§3.3).
+  scratch.candidate_edges.clear();
+  scratch.weights.clear();
+  auto offer = [&](std::size_t i) {
+    const TokenId t = static_cast<TokenId>(edges[i].symbol);
+    if (compiled.dynamic_canonical()) {
+      std::vector<TokenId> candidate(body_tokens.begin(), body_tokens.end());
+      candidate.push_back(t);
+      std::string text = body_text + compiled.tokenizer().token_string(t);
+      if (!compiled.canonical_prefix_ok(candidate, text)) {
+        ++stats.pruned_non_canonical;
+        return;
+      }
+    }
+    scratch.candidate_edges.push_back(i);
+    scratch.weights.push_back(std::exp(lp[t]));
+  };
+
+  // Edges surviving the decoding rules. The mask fast path intersects the
+  // state's bitmask with the rule mask word-wise; a surviving bit's rank
+  // within the state row *is* its edge index (edges are token-sorted, and
+  // the CSR index was built in that order).
+  if (query.use_token_masks && compiled.has_masks()) {
+    const TokenMaskTable& bm = compiled.artifact().body.masks;
+    const std::uint64_t* row = bm.state_words(state);
+    const std::uint64_t* rule_words =
+        mask.empty() ? nullptr : mask.words().data();
+    std::size_t rank_base = 0;
+    for (std::uint32_t w = 0; w < bm.words_per_state; ++w) {
+      const std::uint64_t word = row[w];
+      const std::uint64_t surv = rule_words ? (word & rule_words[w]) : word;
+      ++stats.mask_words_scanned;
+      stats.mask_pruned += std::size_t(std::popcount(word)) -
+                            std::size_t(std::popcount(surv));
+      std::uint64_t bits = surv;
+      while (bits != 0) {
+        const int b = std::countr_zero(bits);
+        bits &= bits - 1;
+        offer(rank_base + std::size_t(std::popcount(word & ((1ull << b) - 1))));
+      }
+      rank_base += std::size_t(std::popcount(word));
+    }
+  } else {
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      if (!mask.empty() && !mask[edges[i].symbol]) {
+        ++stats.pruned_by_rules;
+        continue;
+      }
+      offer(i);
+    }
+  }
+
+  const bool eos_stop = ba.is_final(state) && (mask.empty() || mask[eos]);
+  if (eos_stop) scratch.weights.push_back(std::exp(lp[eos]));
+  if (scratch.weights.empty()) return kBodyStepDeadEnd;
+  const std::size_t pick = rng.weighted(scratch.weights);
+  if (pick >= scratch.weights.size()) return kBodyStepDeadEnd;
+  if (eos_stop && pick == scratch.weights.size() - 1) return kBodyStepEos;
+  return scratch.candidate_edges[pick];
+}
+
 std::optional<SearchResult> RandomSampler::sample_once_impl() {
   ++stats_.sample_attempts;
   const std::size_t seq_limit = std::min(
@@ -879,93 +946,20 @@ std::optional<SearchResult> RandomSampler::sample_once_impl() {
     ++stats_.llm_calls;
     RELM_DCHECK(lp.size() == model_.vocab_size(),
                 "model distribution size must equal the vocabulary");
-    util::TokenBitset mask;
-    if (!query_.decoding.unrestricted()) {
-      mask = allowed_tokens(lp, query_.decoding);
-    }
-
-    // Edges surviving the decoding rules, as indices into `edges`. The mask
-    // fast path intersects the state's bitmask with the rule mask word-wise;
-    // a surviving bit's rank within the state row *is* its edge index
-    // (edges are token-sorted, and the CSR index was built in that order).
-    std::vector<std::size_t> allowed_idx;
-    allowed_idx.reserve(edges.size());
-    if (query_.use_token_masks && compiled_.has_masks()) {
-      const TokenMaskTable& bm = compiled_.artifact().body.masks;
-      const std::uint64_t* row = bm.state_words(body_state);
-      const std::uint64_t* rule_words =
-          mask.empty() ? nullptr : mask.words().data();
-      std::size_t rank_base = 0;
-      for (std::uint32_t w = 0; w < bm.words_per_state; ++w) {
-        const std::uint64_t word = row[w];
-        const std::uint64_t surv = rule_words ? (word & rule_words[w]) : word;
-        ++stats_.mask_words_scanned;
-        stats_.mask_pruned += std::size_t(std::popcount(word)) -
-                              std::size_t(std::popcount(surv));
-        std::uint64_t bits = surv;
-        while (bits != 0) {
-          const int b = std::countr_zero(bits);
-          bits &= bits - 1;
-          allowed_idx.push_back(
-              rank_base + std::size_t(std::popcount(word & ((1ull << b) - 1))));
-        }
-        rank_base += std::size_t(std::popcount(word));
-      }
-    } else {
-      for (std::size_t i = 0; i < edges.size(); ++i) {
-        TokenId t = static_cast<TokenId>(edges[i].symbol);
-        if (!mask.empty() && !mask[t]) {
-          ++stats_.pruned_by_rules;
-          continue;
-        }
-        allowed_idx.push_back(i);
-      }
-    }
-
-    // Candidate weights: surviving automaton edges (plus EOS-as-stop at
-    // final states), renormalized over true model probabilities (§3.3).
-    std::vector<double> weights;
-    weights.reserve(allowed_idx.size() + 1);
-    std::vector<std::size_t> candidate_edges;
-    for (std::size_t i : allowed_idx) {
-      TokenId t = static_cast<TokenId>(edges[i].symbol);
-      // Dynamic canonical pruning of the candidate.
-      if (compiled_.dynamic_canonical()) {
-        std::vector<TokenId> candidate(body_tokens);
-        candidate.push_back(t);
-        std::string text = body_text + compiled_.tokenizer().token_string(t);
-        if (!compiled_.canonical_prefix_ok(candidate, text)) {
-          ++stats_.pruned_non_canonical;
-          continue;
-        }
-      }
-      candidate_edges.push_back(i);
-      weights.push_back(std::exp(lp[t]));
-    }
-    bool eos_stop_available = false;
-    if (at_final) {
-      TokenId eos = model_.eos();
-      bool allowed = mask.empty() || mask[eos];
-      if (allowed) {
-        eos_stop_available = true;
-        weights.push_back(std::exp(lp[eos]));
-      }
-    }
-    if (weights.empty()) {
+    const std::size_t pick =
+        sample_body_step(compiled_, query_, query_.decoding, model_.eos(),
+                         body_state, body_tokens, body_text, lp, rng_,
+                         step_scratch_, stats_);
+    if (pick == kBodyStepDeadEnd) {
       ++stats_.sample_dead_ends;
       return std::nullopt;
     }
-    std::size_t pick = rng_.weighted(weights);
-    if (pick >= weights.size()) {
-      ++stats_.sample_dead_ends;
-      return std::nullopt;
-    }
-    if (eos_stop_available && pick == weights.size() - 1) {
+    if (pick == kBodyStepEos) {
       body_log_prob += lp[model_.eos()];
       break;  // EOS: accept
     }
 
-    const automata::Edge& e = edges[candidate_edges[pick]];
+    const automata::Edge& e = edges[pick];
     TokenId t = static_cast<TokenId>(e.symbol);
     body_log_prob += lp[t];
     context.push_back(t);
@@ -1093,6 +1087,10 @@ std::vector<SearchResult> BeamSearch::run() {
     return contexts;
   };
 
+  // Per-beam-step buffers, reused across every beam and step of the run.
+  util::TokenBitset mask;
+  model::RuleMaskScratch rule_scratch;
+  std::vector<CompiledQuery::Step> scratch_steps;
   for (std::size_t step = 0; step < seq_limit && !beams.empty(); ++step) {
     RELM_TRACE_SPAN("executor.beam_step");
     std::vector<std::vector<double>> lps =
@@ -1106,15 +1104,11 @@ std::vector<SearchResult> BeamSearch::run() {
     metrics.batch_size.observe(static_cast<double>(beams.size()));
 
     std::vector<Beam> candidates;
-    std::vector<CompiledQuery::Step> scratch_steps;
     const bool fast = query_.use_token_masks && compiled_.has_masks();
     for (std::size_t b = 0; b < beams.size(); ++b) {
       const Beam& beam = beams[b];
       const std::vector<double>& lp = lps[b];
-      util::TokenBitset mask;
-      if (!query_.decoding.unrestricted()) {
-        mask = allowed_tokens(lp, query_.decoding);
-      }
+      model::allowed_tokens(lp, query_.decoding, mask, rule_scratch);
 
       // A match at this beam is recorded now (it may fall out of the beam).
       if (compiled_.is_match(beam.set)) {

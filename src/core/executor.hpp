@@ -1,9 +1,12 @@
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
 #include <queue>
+#include <span>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -11,6 +14,7 @@
 #include "core/compiled_query.hpp"
 #include "core/frontier.hpp"
 #include "core/mask_memo.hpp"
+#include "model/decoding.hpp"
 #include "model/language_model.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -27,9 +31,9 @@ struct SearchResult {
   double seconds_at_emission;              // since search start
 };
 
-struct SearchStats {
-  std::size_t llm_calls = 0;
-  std::size_t expansions = 0;          // shortest path: nodes expanded
+// Pruning counters of a decoder step, shared by SearchStats and
+// GenerateStats so that one body-step implementation feeds both.
+struct PruneStats {
   std::size_t pruned_by_rules = 0;     // edges cut by top-k/top-p (probe path)
   std::size_t pruned_non_canonical = 0;
   // Mask fast-path counters (use_token_masks): words examined by the
@@ -38,6 +42,11 @@ struct SearchStats {
   // have counted in pruned_by_rules (EOS-closure prunes stay there).
   std::size_t mask_words_scanned = 0;
   std::size_t mask_pruned = 0;
+};
+
+struct SearchStats : PruneStats {
+  std::size_t llm_calls = 0;
+  std::size_t expansions = 0;          // shortest path: nodes expanded
   std::size_t sample_attempts = 0;     // random: attempts incl. dead ends
   std::size_t sample_dead_ends = 0;
   // Async-pipeline counters (speculative_expansion; all zero in lockstep
@@ -53,9 +62,8 @@ struct SearchStats {
   std::size_t speculative_wasted = 0;
   std::size_t horizon_clips = 0;
   std::size_t frontier_shard_steals = 0;
-  // Rule-mask memo activity (pipeline + restricted decoding): a hit reuses
-  // the decoding mask of a suffix-equal node instead of recomputing
-  // allowed_tokens over the whole vocabulary.
+  // Rule-mask memo activity (pipeline + restricting rules): a hit reuses
+  // the decoding mask of a suffix-equal node instead of recomputing it.
   std::size_t mask_memo_hits = 0;
   std::size_t mask_memo_misses = 0;
   // Logit-cache activity attributed to this search (deltas against the
@@ -169,7 +177,7 @@ class ShortestPathSearch {
   };
   struct SlotOutput {
     std::shared_ptr<const std::vector<double>> lp;
-    std::shared_ptr<const util::TokenBitset> mask;  // null when unrestricted
+    std::shared_ptr<const util::TokenBitset> mask;  // null: admits all
     bool mask_from_memo = false;
     std::vector<CompiledQuery::Step> steps;  // transitions surviving all rules
     // canon_states[i] is the settled boundary for steps[i] after filtering
@@ -183,7 +191,7 @@ class ShortestPathSearch {
     std::size_t pruned_non_canonical = 0;
     std::vector<tokenizer::TokenId> body_scratch;  // reused per-step buffers
     std::string text_scratch;
-    std::vector<double> value_scratch;  // allowed_tokens_into partition buffer
+    model::RuleMaskScratch rule_scratch;
   };
 
   std::vector<tokenizer::TokenId> path_of(std::int32_t node) const;
@@ -220,12 +228,15 @@ class ShortestPathSearch {
   const bool pipeline_;  // speculative_expansion: async pipeline vs lockstep
   std::vector<Node> nodes_;
   std::vector<CompiledQuery::Step> scratch_steps_;  // reused across expansions
+  util::TokenBitset rule_mask_;  // lockstep expand's rule mask and its scratch
+  model::RuleMaskScratch rule_scratch_;
   // Lockstep mode's frontier; the pipeline uses the sharded one below.
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> frontier_;
   ShardedFrontier pipe_frontier_;
-  // Rule-mask memo (pipeline + restricted decoding only). The query's shared
-  // memo when its tag matches our rules + vocabulary, else a private one;
-  // null when unrestricted or lockstep (see core/mask_memo.hpp).
+  // Rule-mask memo (pipeline + rules that restrict the vocabulary only). The
+  // query's shared memo when its tag matches our rules + vocabulary, else a
+  // private one; null when the rules admit every token or in lockstep (see
+  // core/mask_memo.hpp).
   std::shared_ptr<MaskMemo> mask_memo_;
   // Per-round pipeline scratch, reused across rounds (kept capacity is what
   // makes steady-state rounds allocation-free). round_outputs_ slots are
@@ -251,6 +262,35 @@ class ShortestPathSearch {
   bool model_has_cache_ = false;
   util::Timer timer_;
 };
+
+// Reusable buffers of one sampled body step: the decoding-rule mask and the
+// candidate edges with their weights. RandomSampler owns one and every
+// GenStream owns its own, so a step allocates nothing once warm and streams
+// stepping in parallel never share one.
+struct BodyStepScratch {
+  util::TokenBitset rule_mask;
+  model::RuleMaskScratch rule;
+  std::vector<std::size_t> candidate_edges;
+  std::vector<double> weights;
+};
+
+inline constexpr std::size_t kBodyStepDeadEnd = SIZE_MAX;  // nothing to draw
+inline constexpr std::size_t kBodyStepEos = SIZE_MAX - 1;  // drew EOS-as-stop
+
+// One body step of random sampling, shared by RandomSampler and GenStream:
+// the decoding-rule mask (model::allowed_tokens) intersected with the body
+// state's token mask, dynamic canonicality pruning of each candidate, EOS as
+// the stop option at final states, then one draw from `rng` weighted by the
+// true model probabilities (§3.3). Returns the drawn edge's index into the
+// state's edges, kBodyStepEos, or kBodyStepDeadEnd.
+std::size_t sample_body_step(const CompiledQuery& compiled,
+                             const SimpleSearchQuery& query,
+                             const model::DecodingRules& rules,
+                             tokenizer::TokenId eos, automata::StateId state,
+                             std::span<const tokenizer::TokenId> body_tokens,
+                             const std::string& body_text,
+                             std::span<const double> lp, util::Pcg32& rng,
+                             BodyStepScratch& scratch, PruneStats& stats);
 
 // Randomized traversal (§3.3): unbiased sampling from the query language.
 // The prefix is drawn uniformly over prefix walks using walk-count edge
@@ -291,6 +331,7 @@ class RandomSampler {
   bool model_has_cache_ = false;
   util::Timer timer_;
   std::string last_prefix_text_;
+  BodyStepScratch step_scratch_;
 };
 
 // Constrained beam search: the trie/automaton-constrained beam decoding the

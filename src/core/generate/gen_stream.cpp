@@ -1,9 +1,5 @@
 #include "core/generate/gen_stream.hpp"
 
-#include <bit>
-#include <cmath>
-
-#include "core/token_masks.hpp"
 #include "util/logging.hpp"
 
 namespace relm::core::generate {
@@ -137,95 +133,20 @@ void GenStream::advance_no_model(GenerateStats& stats) {
 void GenStream::advance(const std::vector<double>& lp, GenerateStats& stats) {
   RELM_DCHECK(lp.size() == model_->vocab_size(),
               "model distribution size must equal the vocabulary");
-  const automata::Dfa& ba = compiled_->body_automaton();
-  auto edges = ba.edges(body_state_);
-  const bool at_final = ba.is_final(body_state_);
-
-  const model::DecodingRules& dr = rules();
-  util::TokenBitset mask;
-  if (!dr.unrestricted()) mask = model::allowed_tokens(lp, dr);
-
-  // Edges surviving the decoding rules, as indices into `edges`. Identical
-  // to the sampler: the precompiled per-state bitmask intersected with the
-  // rule mask word-wise, a surviving bit's rank within the state row being
-  // its edge index; or the per-edge probe loop when masks are off.
-  std::vector<std::size_t> allowed_idx;
-  allowed_idx.reserve(edges.size());
-  if (query_->use_token_masks && compiled_->has_masks()) {
-    const TokenMaskTable& bm = compiled_->artifact().body.masks;
-    const std::uint64_t* row = bm.state_words(body_state_);
-    const std::uint64_t* rule_words =
-        mask.empty() ? nullptr : mask.words().data();
-    std::size_t rank_base = 0;
-    for (std::uint32_t w = 0; w < bm.words_per_state; ++w) {
-      const std::uint64_t word = row[w];
-      const std::uint64_t surv = rule_words ? (word & rule_words[w]) : word;
-      ++stats.mask_words_scanned;
-      stats.mask_pruned += std::size_t(std::popcount(word)) -
-                           std::size_t(std::popcount(surv));
-      std::uint64_t bits = surv;
-      while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        bits &= bits - 1;
-        allowed_idx.push_back(
-            rank_base + std::size_t(std::popcount(word & ((1ull << b) - 1))));
-      }
-      rank_base += std::size_t(std::popcount(word));
-    }
-  } else {
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      TokenId t = static_cast<TokenId>(edges[i].symbol);
-      if (!mask.empty() && !mask[t]) {
-        ++stats.pruned_by_rules;
-        continue;
-      }
-      allowed_idx.push_back(i);
-    }
-  }
-
-  // Candidate weights: surviving automaton edges (plus EOS-as-stop at final
-  // states), renormalized over true model probabilities (§3.3).
-  std::vector<double> weights;
-  weights.reserve(allowed_idx.size() + 1);
-  std::vector<std::size_t> candidate_edges;
-  for (std::size_t i : allowed_idx) {
-    TokenId t = static_cast<TokenId>(edges[i].symbol);
-    if (compiled_->dynamic_canonical()) {
-      std::vector<TokenId> candidate(body_tokens_);
-      candidate.push_back(t);
-      std::string text = body_text_ + compiled_->tokenizer().token_string(t);
-      if (!compiled_->canonical_prefix_ok(candidate, text)) {
-        ++stats.pruned_non_canonical;
-        continue;
-      }
-    }
-    candidate_edges.push_back(i);
-    weights.push_back(std::exp(lp[t]));
-  }
-  bool eos_stop_available = false;
-  if (at_final) {
-    TokenId eos = model_->eos();
-    if (mask.empty() || mask[eos]) {
-      eos_stop_available = true;
-      weights.push_back(std::exp(lp[eos]));
-    }
-  }
-  if (weights.empty()) {
+  const std::size_t pick = sample_body_step(
+      *compiled_, *query_, rules(), model_->eos(), body_state_, body_tokens_,
+      body_text_, lp, rng_, scratch_, stats);
+  if (pick == kBodyStepDeadEnd) {
     dead_end(stats);
     return;
   }
-  std::size_t pick = rng_.weighted(weights);
-  if (pick >= weights.size()) {
-    dead_end(stats);
-    return;
-  }
-  if (eos_stop_available && pick == weights.size() - 1) {
+  if (pick == kBodyStepEos) {
     body_log_prob_ += lp[model_->eos()];
     accept(stats);
     return;
   }
 
-  const automata::Edge& e = edges[candidate_edges[pick]];
+  const automata::Edge& e = compiled_->body_automaton().edges(body_state_)[pick];
   TokenId t = static_cast<TokenId>(e.symbol);
   body_log_prob_ += lp[t];
   context_.push_back(t);

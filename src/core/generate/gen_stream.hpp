@@ -55,9 +55,9 @@ struct StreamSpec {
   std::optional<model::DecodingRules> decoding;
 };
 
-// Counters shared by the streams and folded by the engine; mirrors the
-// executor's SearchStats naming so dashboards read the same.
-struct GenerateStats {
+// Counters shared by the streams and folded by the engine; the pruning
+// counters are the executor's own (PruneStats), so dashboards read the same.
+struct GenerateStats : PruneStats {
   std::size_t ticks = 0;
   std::size_t llm_calls = 0;          // unique contexts evaluated
   std::size_t batch_dedup_hits = 0;   // stream-steps served by a tick-mate's eval
@@ -66,10 +66,6 @@ struct GenerateStats {
   std::size_t streams_done = 0;
   std::size_t streams_dead_end = 0;
   std::size_t streams_cancelled = 0;
-  std::size_t pruned_by_rules = 0;
-  std::size_t pruned_non_canonical = 0;
-  std::size_t mask_words_scanned = 0;
-  std::size_t mask_pruned = 0;
   double elapsed_seconds = 0.0;
 
   double tokens_per_second() const {
@@ -119,11 +115,11 @@ class GenStream {
   // unambiguous free stop. Requires !needs_model().
   void advance_no_model(GenerateStats& stats);
 
-  // One body step given this context's distribution: apply the stream's
-  // decoding mask and the automaton mask (precompiled bitmask fast path when
-  // available), renormalize over the surviving candidates plus EOS-as-stop at
-  // final states, and draw with the stream's own RNG. Byte-for-byte the
-  // sampler's body-loop semantics.
+  // One body step given this context's distribution: sample_body_step, the
+  // sampler's own step (decoding mask ∩ automaton mask, renormalized over
+  // the surviving candidates plus EOS-as-stop at final states), with the
+  // stream's own RNG and scratch, so parallel steps of different streams
+  // share nothing.
   void advance(const std::vector<double>& lp, GenerateStats& stats);
 
   // Cursor control. Suspend freezes the stream mid-generation (its RNG and
@@ -163,6 +159,7 @@ class GenStream {
   double body_log_prob_ = 0.0;
   automata::StateId body_state_ = automata::kNoState;
   std::optional<SearchResult> result_;
+  BodyStepScratch scratch_;
 };
 
 }  // namespace relm::core::generate

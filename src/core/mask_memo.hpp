@@ -16,7 +16,7 @@ namespace relm::core {
 // The mask admitted by a DecodingRules instance is a pure function of the
 // model distribution, which is itself a pure function of the suffix — so
 // suffix-equal expansions share one mask instead of re-scanning the full
-// vocabulary in model::allowed_tokens(). Suffixes repeat mostly ACROSS the
+// vocabulary in model::allowed_tokens. Suffixes repeat mostly ACROSS the
 // searches of a run (the same repetition the logit cache exploits), which is
 // why the memo is a standalone object: hand the same instance to every query
 // of a run via SimpleSearchQuery::mask_memo and the hit rate tracks the

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
-#include <numeric>
 
 #include "util/errors.hpp"
 
@@ -16,10 +14,16 @@ namespace {
 // probability, ties on lower token id. Both allowed_tokens and token_allowed
 // use exactly this order, so the two always agree on set membership — even on
 // distributions full of exact ties (uniform models), where an unspecified
-// nth_element partition would make them diverge.
+// partition would make them diverge.
 inline bool rank_before(std::span<const double> lp, std::size_t a,
                         std::size_t b) {
   return lp[a] > lp[b] || (lp[a] == lp[b] && a < b);
+}
+
+using Ranked = std::pair<double, TokenId>;
+
+inline bool ranked_before(const Ranked& a, const Ranked& b) {
+  return a.first > b.first || (a.first == b.first && a.second < b.second);
 }
 
 void validate_top_k(int k) {
@@ -30,92 +34,91 @@ void validate_top_p(double p) {
   if (p <= 0.0 || p > 1.0) throw relm::Error("top_p must be in (0, 1]");
 }
 
-}  // namespace
-
-util::TokenBitset allowed_tokens(std::span<const double> log_probs,
-                                 const DecodingRules& rules) {
-  const std::size_t V = log_probs.size();
-  util::TokenBitset mask(V, true);
-
-  std::vector<double> lp;
-  std::span<const double> effective = log_probs;
-  if (rules.temperature != 1.0) {
-    lp = apply_temperature(log_probs, rules.temperature);
-    effective = lp;
-  }
-
-  if (rules.top_k) {
-    int k = *rules.top_k;
-    validate_top_k(k);
-    if (static_cast<std::size_t>(k) < V) {
-      std::vector<std::size_t> order(V);
-      std::iota(order.begin(), order.end(), 0);
-      std::nth_element(order.begin(), order.begin() + k, order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return rank_before(effective, a, b);
-                       });
-      // Everything at rank >= k is cut; the deterministic tie order above
-      // makes "the first k" a well-defined set, not a partition accident.
-      mask.reset_all();
-      for (int i = 0; i < k; ++i) mask.set(order[i]);
+// Fills `ranked` with the first m tokens of the rank order (m <= V), in
+// heap order under ranked_before, so its root is the worst survivor. The
+// scan runs in ascending token id: a later token displaces the root only
+// with a strictly greater log-prob (an equal one ranks after it), and then
+// sifts down from the root in one pass.
+void select_head(std::span<const double> lp, std::size_t m,
+                 std::vector<Ranked>& ranked) {
+  ranked.clear();
+  if (m == 0) return;
+  std::size_t t = 0;
+  for (; t < m; ++t) ranked.emplace_back(lp[t], static_cast<TokenId>(t));
+  std::make_heap(ranked.begin(), ranked.end(), ranked_before);
+  double worst = ranked.front().first;
+  for (; t < lp.size(); ++t) {
+    if (!(lp[t] > worst)) continue;
+    const Ranked incoming{lp[t], static_cast<TokenId>(t)};
+    std::size_t i = 0;
+    for (std::size_t c = 1; c < m; i = c, c = 2 * c + 1) {
+      if (c + 1 < m && ranked_before(ranked[c], ranked[c + 1])) ++c;
+      if (ranked_before(ranked[c], incoming)) break;  // worse than both
+      ranked[i] = ranked[c];
     }
+    ranked[i] = incoming;
+    worst = ranked.front().first;
   }
-
-  if (rules.top_p) {
-    double p = *rules.top_p;
-    validate_top_p(p);
-    std::vector<std::size_t> order(V);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return rank_before(effective, a, b);
-    });
-    double mass = 0.0;
-    util::TokenBitset nucleus(V, false);
-    for (std::size_t i = 0; i < V; ++i) {
-      nucleus.set(order[i]);
-      mass += std::exp(effective[order[i]]);
-      if (mass >= p) break;
-    }
-    mask.and_with(nucleus);
-  }
-
-  return mask;
 }
 
-void allowed_tokens_into(std::span<const double> log_probs,
-                         const DecodingRules& rules, util::TokenBitset& mask,
-                         std::vector<double>& scratch) {
+// log Z of the temperature-adjusted distribution lp / T (max-subtracted,
+// summed in token order): the one normalizer of apply_temperature, the
+// kernel's top-p mass and token_allowed's, so all three agree bit for bit.
+double temperature_log_z(std::span<const double> lp, double temperature) {
+  if (temperature <= 0.0) throw relm::Error("temperature must be positive");
+  double max_lp = -std::numeric_limits<double>::infinity();
+  for (double v : lp) max_lp = std::max(max_lp, v / temperature);
+  double z = 0.0;
+  for (double v : lp) z += std::exp(v / temperature - max_lp);
+  return max_lp + std::log(z);
+}
+
+constexpr std::size_t kNucleusHead = 64;
+
+}  // namespace
+
+void allowed_tokens(std::span<const double> log_probs,
+                    const DecodingRules& rules, util::TokenBitset& mask,
+                    RuleMaskScratch& scratch) {
+  if (rules.top_k) validate_top_k(*rules.top_k);
+  if (rules.top_p) validate_top_p(*rules.top_p);
   const std::size_t V = log_probs.size();
-  if (!rules.top_k || rules.top_p || rules.temperature != 1.0 ||
-      static_cast<std::size_t>(*rules.top_k) >= V) {
-    mask = allowed_tokens(log_probs, rules);
+  if (rules.admits_all(V)) {
+    mask.assign(0);
     return;
   }
-  const int k = *rules.top_k;
-  validate_top_k(k);
-  if (mask.size() != V) mask = util::TokenBitset(V, false);
-  else mask.reset_all();
 
-  // Partition copied values to find the k-th largest, then admit everything
-  // strictly above it plus just enough ties in ascending token id — exactly
-  // the first k of the rank_before order allowed_tokens uses.
-  scratch.assign(log_probs.begin(), log_probs.end());
-  std::nth_element(scratch.begin(), scratch.begin() + (k - 1), scratch.end(),
-                   std::greater<double>());
-  const double kth = scratch[static_cast<std::size_t>(k) - 1];
-  std::size_t taken = 0;
-  for (std::size_t t = 0; t < V; ++t) {
-    if (log_probs[t] > kth) {
-      mask.set(t);
-      ++taken;
+  const std::size_t limit =
+      rules.top_k ? std::min(static_cast<std::size_t>(*rules.top_k), V) : V;
+  std::vector<Ranked>& ranked = scratch.ranked;
+  std::size_t first = 0;  // ranked[first, end) is admitted
+  if (!rules.top_p) {
+    select_head(log_probs, limit, ranked);
+  } else {
+    const double p = *rules.top_p;
+    const double T = rules.temperature;
+    const double log_z = T != 1.0 ? temperature_log_z(log_probs, T) : 0.0;
+    auto ranked_after = [](const Ranked& a, const Ranked& b) {
+      return ranked_before(b, a);
+    };
+    // Each head is a prefix of the rank order, popped best first and its
+    // mass summed in that order, so the cutoff does not depend on the head.
+    for (std::size_t m = std::min(limit, kNucleusHead);;
+         m = std::min(2 * m, limit)) {
+      select_head(log_probs, m, ranked);
+      std::make_heap(ranked.begin(), ranked.end(), ranked_after);
+      double mass = 0.0;
+      first = ranked.size();
+      while (first > 0 && mass < p) {
+        std::pop_heap(ranked.begin(), ranked.begin() + first, ranked_after);
+        const double lp = ranked[--first].first;
+        mass += std::exp(T != 1.0 ? lp / T - log_z : lp);
+      }
+      if (mass >= p || m == limit) break;
     }
   }
-  for (std::size_t t = 0; t < V && taken < static_cast<std::size_t>(k); ++t) {
-    if (log_probs[t] == kth) {
-      mask.set(t);
-      ++taken;
-    }
-  }
+  mask.assign(V);
+  for (std::size_t i = first; i < ranked.size(); ++i) mask.set(ranked[i].second);
 }
 
 bool token_allowed(std::span<const double> log_probs, const DecodingRules& rules,
@@ -143,29 +146,15 @@ bool token_allowed(std::span<const double> log_probs, const DecodingRules& rules
   if (rules.top_p) {
     double p = *rules.top_p;
     validate_top_p(p);
-    // The nucleus admits a token iff the mass of strictly-better tokens is
-    // below p. Mass is computed under the temperature-adjusted normalized
-    // distribution with max-subtraction for stability — the same arithmetic
-    // apply_temperature performs, without materializing the O(V) buffer.
+    // The nucleus admits a token iff the mass of strictly-better tokens,
+    // under the temperature-adjusted distribution, is below p.
     const double T = rules.temperature;
-    if (T <= 0.0) throw relm::Error("temperature must be positive");
+    const double log_z = T != 1.0 ? temperature_log_z(log_probs, T) : 0.0;
     double mass_before = 0.0;
-    if (T != 1.0) {
-      double max_e = -std::numeric_limits<double>::infinity();
-      for (std::size_t u = 0; u < V; ++u) max_e = std::max(max_e, log_probs[u] / T);
-      double z = 0.0;
-      for (std::size_t u = 0; u < V; ++u) z += std::exp(log_probs[u] / T - max_e);
-      const double log_z = max_e + std::log(z);
-      for (std::size_t u = 0; u < V; ++u) {
-        if (u != t && rank_before(log_probs, u, t)) {
-          mass_before += std::exp(log_probs[u] / T - log_z);
-        }
-      }
-    } else {
-      for (std::size_t u = 0; u < V; ++u) {
-        if (u != t && rank_before(log_probs, u, t)) {
-          mass_before += std::exp(log_probs[u]);
-        }
+    for (std::size_t u = 0; u < V; ++u) {
+      if (u != t && rank_before(log_probs, u, t)) {
+        mass_before +=
+            std::exp(T != 1.0 ? log_probs[u] / T - log_z : log_probs[u]);
       }
     }
     if (mass_before >= p) return false;
@@ -176,18 +165,11 @@ bool token_allowed(std::span<const double> log_probs, const DecodingRules& rules
 
 std::vector<double> apply_temperature(std::span<const double> log_probs,
                                       double temperature) {
-  if (temperature <= 0.0) throw relm::Error("temperature must be positive");
-  const std::size_t V = log_probs.size();
-  std::vector<double> out(V);
-  double max_lp = -std::numeric_limits<double>::infinity();
-  for (std::size_t t = 0; t < V; ++t) {
-    out[t] = log_probs[t] / temperature;
-    max_lp = std::max(max_lp, out[t]);
+  const double log_z = temperature_log_z(log_probs, temperature);
+  std::vector<double> out(log_probs.size());
+  for (std::size_t t = 0; t < out.size(); ++t) {
+    out[t] = log_probs[t] / temperature - log_z;
   }
-  double z = 0.0;
-  for (double v : out) z += std::exp(v - max_lp);
-  double log_z = max_lp + std::log(z);
-  for (double& v : out) v -= log_z;
   return out;
 }
 
@@ -208,10 +190,12 @@ std::vector<TokenId> generate(const LanguageModel& model,
                               bool stop_at_eos) {
   std::vector<TokenId> running(context.begin(), context.end());
   std::vector<TokenId> fresh;
+  util::TokenBitset mask;
+  RuleMaskScratch scratch;
   for (std::size_t step = 0; step < max_new_tokens; ++step) {
     if (running.size() >= model.max_sequence_length()) break;
     std::vector<double> lp = model.next_log_probs(running);
-    util::TokenBitset mask = allowed_tokens(lp, rules);
+    allowed_tokens(lp, rules, mask, scratch);
     TokenId t = sample_token(lp, mask, rng);
     if (t >= model.vocab_size()) break;  // degenerate distribution
     running.push_back(t);

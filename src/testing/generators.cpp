@@ -540,6 +540,7 @@ TrialCase generate_case(std::uint64_t seed, const GenConfig& config) {
   Pcg32 rng_model(seed, 0x4d4f4445);  // "MODE"
   Pcg32 rng_param(seed, 0x50415241);  // "PARA"
   Pcg32 rng_diffb(seed, 0x44494642);  // "DIFB"
+  Pcg32 rng_rules(seed, 0x52554c45);  // "RULE"
 
   TrialCase c;
   c.seed = seed;
@@ -581,6 +582,16 @@ TrialCase generate_case(std::uint64_t seed, const GenConfig& config) {
           static_cast<std::uint32_t>(c.vocab.size()));
     } else {
       c.top_p = 0.5 + 0.45 * rng_param.uniform();
+    }
+    // A slice carries both rules, the combined mask of generation streams;
+    // its own stream leaves every other draw of the seed unchanged.
+    if (rng_rules.uniform() < 0.4) {
+      if (c.top_k == 0) {
+        c.top_k = 1 + rng_rules.bounded(
+            static_cast<std::uint32_t>(c.vocab.size()));
+      } else {
+        c.top_p = 0.5 + 0.45 * rng_rules.uniform();
+      }
     }
     if (rng_param.uniform() < 0.5) {
       c.temperature = 0.5 + 1.5 * rng_param.uniform();

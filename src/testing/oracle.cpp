@@ -88,9 +88,17 @@ struct Walker {
     ++width_at_depth[depth];
 
     const std::vector<double>& lp = scores.log_probs(tokens);
+    // Built from the independent membership test, one call per token, so a
+    // bug in the allowed_tokens kernel the executors share shows up as a
+    // disagreement instead of being copied into the reference.
     util::TokenBitset mask;
     if (!query.decoding.unrestricted()) {
-      mask = model::allowed_tokens(lp, query.decoding);
+      mask.assign(lp.size());
+      for (std::size_t t = 0; t < lp.size(); ++t) {
+        if (model::token_allowed(lp, query.decoding, static_cast<TokenId>(t))) {
+          mask.set(t);
+        }
+      }
     }
 
     if (compiled.is_match(set)) {

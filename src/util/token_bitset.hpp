@@ -44,7 +44,12 @@ class TokenBitset {
   void reset(std::size_t i) {
     words_[i / kWordBits] &= ~(1ull << (i % kWordBits));
   }
-  void reset_all() { words_.assign(words_.size(), 0); }
+  // Resizes to `size` cleared bits, reusing the word storage: no
+  // allocation once it has grown to the size.
+  void assign(std::size_t size) {
+    size_ = size;
+    words_.assign(words_for(size), 0);
+  }
   void set_all() {
     words_.assign(words_.size(), ~0ull);
     clear_trailing();
@@ -53,11 +58,6 @@ class TokenBitset {
   std::uint64_t word(std::size_t w) const { return words_[w]; }
   void set_word(std::size_t w, std::uint64_t bits) { words_[w] = bits; }
   std::span<const std::uint64_t> words() const { return words_; }
-
-  // In-place intersection. Sizes must match.
-  void and_with(const TokenBitset& other) {
-    for (std::size_t w = 0; w < words_.size(); ++w) words_[w] &= other.words_[w];
-  }
 
   std::size_t count() const {
     std::size_t n = 0;

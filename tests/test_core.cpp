@@ -750,9 +750,16 @@ namespace {
 // ---------------------------------------------------------------------------
 
 struct RankingCase {
+  const char* label;
   const char* pattern;
   const char* prefix;
 };
+
+// Prints the label alone, so the CTest names that gtest_discover_tests
+// derives from GetParam() are stable. Without it GoogleTest dumps the raw
+// bytes of the struct, which include the string pointers and so change with
+// every build and every address-space layout.
+void PrintTo(const RankingCase& c, std::ostream* os) { *os << c.label; }
 
 class ShortestPathRanking : public ::testing::TestWithParam<RankingCase> {};
 
@@ -798,11 +805,11 @@ TEST_P(ShortestPathRanking, MatchesBruteForceOrdering) {
 INSTANTIATE_TEST_SUITE_P(
     Queries, ShortestPathRanking,
     ::testing::Values(
-        RankingCase{"The ((cat)|(dog)|(mat))", "The"},
-        RankingCase{"The ((cat)|(dog)|(mat))", ""},
-        RankingCase{"The (cat|dog)( (sat|ran))?", "The"},
-        RankingCase{"((The)|(A)) cat", ""},
-        RankingCase{"The c(a|o)t", "The"}));
+        RankingCase{"cat_dog_mat_with_prefix", "The ((cat)|(dog)|(mat))", "The"},
+        RankingCase{"cat_dog_mat_no_prefix", "The ((cat)|(dog)|(mat))", ""},
+        RankingCase{"optional_verb_with_prefix", "The (cat|dog)( (sat|ran))?", "The"},
+        RankingCase{"article_choice_no_prefix", "((The)|(A)) cat", ""},
+        RankingCase{"vowel_choice_with_prefix", "The c(a|o)t", "The"}));
 
 // ---------------------------------------------------------------------------
 // Random-sampling frequencies track exact conditional probabilities.

@@ -2,12 +2,15 @@
 
 #include <cmath>
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include "model/decoding.hpp"
 #include "model/ngram_model.hpp"
 #include "tokenizer/bpe.hpp"
 #include "util/errors.hpp"
 #include "util/rng.hpp"
+#include "util/token_bitset.hpp"
 
 namespace relm::model {
 namespace {
@@ -230,11 +233,24 @@ TEST(CachingModel, BatchDeduplicatesMisses) {
 // Decoding rules
 // ---------------------------------------------------------------------------
 
+// The kernel's verdict per token; an empty mask admits every token.
+std::vector<bool> admitted(std::span<const double> lp,
+                           const DecodingRules& rules) {
+  util::TokenBitset mask;
+  RuleMaskScratch scratch;
+  allowed_tokens(lp, rules, mask, scratch);
+  std::vector<bool> out(lp.size(), true);
+  if (!mask.empty()) {
+    for (std::size_t t = 0; t < lp.size(); ++t) out[t] = mask[t];
+  }
+  return out;
+}
+
 TEST(Decoding, TopKKeepsExactlyK) {
   std::vector<double> lp{std::log(0.4), std::log(0.3), std::log(0.2), std::log(0.1)};
   DecodingRules rules;
   rules.top_k = 2;
-  auto mask = allowed_tokens(lp, rules);
+  auto mask = admitted(lp, rules);
   EXPECT_TRUE(mask[0]);
   EXPECT_TRUE(mask[1]);
   EXPECT_FALSE(mask[2]);
@@ -245,7 +261,7 @@ TEST(Decoding, TopKLargerThanVocabAllowsAll) {
   std::vector<double> lp{std::log(0.5), std::log(0.5)};
   DecodingRules rules;
   rules.top_k = 40;
-  auto mask = allowed_tokens(lp, rules);
+  auto mask = admitted(lp, rules);
   EXPECT_TRUE(mask[0]);
   EXPECT_TRUE(mask[1]);
 }
@@ -254,7 +270,7 @@ TEST(Decoding, TopPNucleus) {
   std::vector<double> lp{std::log(0.5), std::log(0.3), std::log(0.15), std::log(0.05)};
   DecodingRules rules;
   rules.top_p = 0.8;
-  auto mask = allowed_tokens(lp, rules);
+  auto mask = admitted(lp, rules);
   EXPECT_TRUE(mask[0]);
   EXPECT_TRUE(mask[1]);  // cumulative hits 0.8 here
   EXPECT_FALSE(mask[2]);
@@ -264,20 +280,43 @@ TEST(Decoding, TopPNucleus) {
 TEST(Decoding, UnrestrictedAllowsEverything) {
   std::vector<double> lp{std::log(0.999), std::log(0.001)};
   DecodingRules rules;
-  auto mask = allowed_tokens(lp, rules);
+  auto mask = admitted(lp, rules);
   EXPECT_TRUE(mask[0]);
   EXPECT_TRUE(mask[1]);
   EXPECT_TRUE(rules.unrestricted());
+}
+
+TEST(Decoding, RulesAdmittingAllLeaveTheMaskEmpty) {
+  std::vector<double> lp{std::log(0.5), std::log(0.3), std::log(0.2)};
+  util::TokenBitset mask(3, true);
+  RuleMaskScratch scratch;
+  DecodingRules wide;
+  wide.top_k = 3;
+  allowed_tokens(lp, wide, mask, scratch);
+  EXPECT_TRUE(mask.empty());  // "no restriction"
+  EXPECT_TRUE(wide.admits_all(3));
+  wide.top_k = 2;
+  allowed_tokens(lp, wide, mask, scratch);
+  EXPECT_EQ(mask.size(), 3u);
+  EXPECT_EQ(mask.count(), 2u);
+  EXPECT_FALSE(wide.admits_all(3));
+  // p = 1 still restricts: the nucleus may close before the tail.
+  DecodingRules full_p;
+  full_p.top_p = 1.0;
+  EXPECT_FALSE(full_p.admits_all(3));
+  DecodingRules bad_k;
+  bad_k.top_k = 0;
+  EXPECT_FALSE(bad_k.admits_all(3));
 }
 
 TEST(Decoding, InvalidParamsThrow) {
   std::vector<double> lp{0.0};
   DecodingRules bad_k;
   bad_k.top_k = 0;
-  EXPECT_THROW(allowed_tokens(lp, bad_k), relm::Error);
+  EXPECT_THROW(admitted(lp, bad_k), relm::Error);
   DecodingRules bad_p;
   bad_p.top_p = 1.5;
-  EXPECT_THROW(allowed_tokens(lp, bad_p), relm::Error);
+  EXPECT_THROW(admitted(lp, bad_p), relm::Error);
   EXPECT_THROW(apply_temperature(lp, 0.0), relm::Error);
 }
 

@@ -184,16 +184,6 @@ TEST(TokenBitset, TrailingBitsStayZero) {
   EXPECT_EQ(bits.word(1) >> 6, 0ull);  // only the low 6 bits of word 1 used
 }
 
-TEST(TokenBitset, AndWithIntersects) {
-  TokenBitset a(100), b(100);
-  for (std::size_t i = 0; i < 100; i += 2) a.set(i);
-  for (std::size_t i = 0; i < 100; i += 3) b.set(i);
-  a.and_with(b);
-  for (std::size_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(a[i], i % 6 == 0) << i;
-  }
-}
-
 TEST(TokenBitset, ForEachSetAscending) {
   TokenBitset bits(200);
   std::vector<std::size_t> want{0, 5, 63, 64, 127, 128, 199};
@@ -458,15 +448,22 @@ TEST(Executors, MaskFastPathIsByteIdenticalAndCounted) {
 }
 
 // ---------------------------------------------------------------------------
-// token_allowed: no allocation, agreement with allowed_tokens
+// The allowed_tokens kernel against the independent token_allowed
 // ---------------------------------------------------------------------------
 
+enum class Shape { kUniform, kFlat, kPeaked };
+
+// kUniform ties every token (the worst case for rank-order agreement), kFlat
+// spreads the mass so the nucleus is most of the vocabulary, kPeaked puts it
+// on a few tokens so the nucleus closes early.
 std::vector<double> random_log_probs(util::Pcg32& rng, std::size_t vocab,
-                                     bool uniform) {
+                                     Shape shape) {
   std::vector<double> p(vocab);
   double total = 0.0;
   for (double& v : p) {
-    v = uniform ? 1.0 : 0.05 + rng.uniform();
+    v = shape == Shape::kUniform ? 1.0
+        : shape == Shape::kFlat  ? 0.05 + rng.uniform()
+                                 : std::exp(12.0 * rng.uniform());
     total += v;
   }
   std::vector<double> lp(vocab);
@@ -474,39 +471,158 @@ std::vector<double> random_log_probs(util::Pcg32& rng, std::size_t vocab,
   return lp;
 }
 
+// Rule sets reaching every branch of the kernel at vocabulary `vocab`.
+std::vector<DecodingRules> kernel_rule_sets(std::size_t vocab) {
+  std::vector<DecodingRules> sets;
+  auto add = [&](std::optional<int> k, std::optional<double> p, double t) {
+    DecodingRules rules;
+    rules.top_k = k;
+    rules.top_p = p;
+    rules.temperature = t;
+    sets.push_back(rules);
+  };
+  const int v = static_cast<int>(vocab);
+  add(std::nullopt, std::nullopt, 1.0);  // unrestricted
+  add(1, std::nullopt, 1.0);             // k = 1
+  add(40, std::nullopt, 1.3);            // top-k alone, T != 1
+  add(v, std::nullopt, 1.0);             // k >= V: admits all
+  add(std::nullopt, 0.7, 1.0);           // top-p alone: growing heads
+  add(std::nullopt, 1.0, 1.0);           // p = 1
+  add(40, 0.9, 1.0);                     // the combined rule of generation
+  add(100, 0.95, 1.0);                   // k beyond the first head
+  add(9, 0.85, 0.6);                     // combined, T != 1
+  add(std::nullopt, 0.5, 1.7);           // top-p alone, T != 1
+  add(v + 5, 0.9, 1.3);                  // k >= V with top-p
+  return sets;
+}
+
+// Every token's kernel verdict equals token_allowed's; an empty mask admits
+// every token, and only rules that admit all may leave it empty.
+void expect_kernel_matches(const std::vector<double>& lp,
+                           const DecodingRules& rules, TokenBitset& mask,
+                           model::RuleMaskScratch& scratch,
+                           const std::string& where) {
+  model::allowed_tokens(lp, rules, mask, scratch);
+  EXPECT_EQ(mask.empty(), rules.admits_all(lp.size())) << where;
+  if (!mask.empty()) {
+    ASSERT_EQ(mask.size(), lp.size()) << where;
+  }
+  std::size_t mismatches = 0;
+  for (std::size_t t = 0; t < lp.size(); ++t) {
+    const bool kernel = mask.empty() || mask[t];
+    if (kernel != model::token_allowed(lp, rules, static_cast<TokenId>(t))) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << where;
+}
+
+std::string describe(std::size_t vocab, Shape shape, const DecodingRules& r) {
+  std::ostringstream os;
+  os << "V=" << vocab << " shape=" << static_cast<int>(shape)
+     << " k=" << (r.top_k ? *r.top_k : 0) << " p=" << r.top_p.value_or(0.0)
+     << " T=" << r.temperature;
+  return os.str();
+}
+
 TEST(TokenAllowed, AgreesWithAllowedTokensIncludingTies) {
   util::Pcg32 rng(7);
-  std::vector<DecodingRules> rule_sets(4);
-  rule_sets[1].top_k = 5;
-  rule_sets[2].top_p = 0.7;
-  rule_sets[3].top_k = 9;
-  rule_sets[3].top_p = 0.85;
-  rule_sets[3].temperature = 0.6;
-  DecodingRules hot;
-  hot.top_p = 0.5;
-  hot.temperature = 1.7;
-  rule_sets.push_back(hot);
-
+  TokenBitset mask;
+  model::RuleMaskScratch scratch;
   for (int trial = 0; trial < 12; ++trial) {
-    // Half the trials are fully uniform distributions: every log-prob ties,
-    // the worst case for rank-order agreement between the two functions.
-    const bool uniform = trial % 2 == 0;
-    std::vector<double> lp = random_log_probs(rng, 50 + trial * 13, uniform);
-    for (const DecodingRules& rules : rule_sets) {
-      TokenBitset mask = model::allowed_tokens(lp, rules);
-      for (std::size_t t = 0; t < lp.size(); ++t) {
-        EXPECT_EQ(mask[t],
-                  model::token_allowed(lp, rules, static_cast<TokenId>(t)))
-            << "trial " << trial << " token " << t
-            << (uniform ? " (uniform)" : "");
-      }
+    const std::size_t vocab = 50 + static_cast<std::size_t>(trial) * 13;
+    const Shape shape = static_cast<Shape>(trial % 3);
+    std::vector<double> lp = random_log_probs(rng, vocab, shape);
+    for (const DecodingRules& rules : kernel_rule_sets(vocab)) {
+      expect_kernel_matches(lp, rules, mask, scratch,
+                            describe(vocab, shape, rules));
     }
   }
 }
 
+TEST(RuleMaskKernel, MatchesTokenAllowedAtBenchmarkVocabulary) {
+  util::Pcg32 rng(31);
+  TokenBitset mask;
+  model::RuleMaskScratch scratch;
+  for (Shape shape : {Shape::kUniform, Shape::kFlat, Shape::kPeaked}) {
+    std::vector<double> lp = random_log_probs(rng, 774, shape);
+    for (const DecodingRules& rules : kernel_rule_sets(774)) {
+      expect_kernel_matches(lp, rules, mask, scratch,
+                            describe(774, shape, rules));
+    }
+  }
+}
+
+// token_allowed costs O(V) per token, so at V = 8192 the check keeps to
+// k = 1, k >= V, p = 1, the combined rule and a combined rule at T != 1.
+TEST(RuleMaskKernel, MatchesTokenAllowedAtLargeVocabulary) {
+  const std::size_t vocab = 8192;
+  util::Pcg32 rng(37);
+  TokenBitset mask;
+  model::RuleMaskScratch scratch;
+  const std::vector<DecodingRules> all = kernel_rule_sets(vocab);
+  const std::vector<DecodingRules> rule_sets{all[1], all[3], all[5], all[6],
+                                             all[8]};
+  for (Shape shape : {Shape::kUniform, Shape::kFlat}) {
+    std::vector<double> lp = random_log_probs(rng, vocab, shape);
+    for (const DecodingRules& rules : rule_sets) {
+      expect_kernel_matches(lp, rules, mask, scratch,
+                            describe(vocab, shape, rules));
+    }
+  }
+}
+
+// Dividing by T can round two distinct log-probs to one value. Ranking on
+// the adjusted values then broke the tie by token id and admitted token 0;
+// the raw values rank token 1 first, as token_allowed always did.
+TEST(RuleMaskKernel, RanksOnRawLogProbsUnderTemperature) {
+  const std::vector<double> lp{-1.0, std::nextafter(-1.0, 0.0)};
+  TokenBitset mask;
+  model::RuleMaskScratch scratch;
+  for (double temperature : {1.3, 1.5, 3.0}) {
+    DecodingRules rules;
+    rules.top_k = 1;
+    rules.temperature = temperature;
+    model::allowed_tokens(lp, rules, mask, scratch);
+    ASSERT_EQ(mask.size(), 2u);
+    EXPECT_FALSE(mask[0]) << "T=" << temperature;
+    EXPECT_TRUE(mask[1]) << "T=" << temperature;
+    EXPECT_FALSE(model::token_allowed(lp, rules, 0));
+    EXPECT_TRUE(model::token_allowed(lp, rules, 1));
+  }
+}
+
+TEST(RuleMaskKernel, NoAllocationOnceWarm) {
+  util::Pcg32 rng(17);
+  std::vector<std::vector<double>> dists;
+  for (Shape shape : {Shape::kUniform, Shape::kFlat, Shape::kPeaked}) {
+    dists.push_back(random_log_probs(rng, 774, shape));
+  }
+  const std::vector<DecodingRules> rule_sets = kernel_rule_sets(774);
+  TokenBitset mask;
+  model::RuleMaskScratch scratch;
+  auto run_all = [&] {
+    std::size_t admitted = 0;
+    for (const std::vector<double>& lp : dists) {
+      for (const DecodingRules& rules : rule_sets) {
+        model::allowed_tokens(lp, rules, mask, scratch);
+        admitted += mask.count();
+      }
+    }
+    return admitted;
+  };
+  const std::size_t warm = run_all();  // grows the scratch to its peak
+
+  const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::size_t again = run_all();
+  const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(after, before) << "allowed_tokens allocated with warm scratch";
+  EXPECT_EQ(again, warm);
+}
+
 TEST(TokenAllowed, NoAllocation) {
   util::Pcg32 rng(13);
-  std::vector<double> lp = random_log_probs(rng, 512, /*uniform=*/false);
+  std::vector<double> lp = random_log_probs(rng, 512, Shape::kFlat);
   DecodingRules rules;
   rules.top_k = 7;
   rules.top_p = 0.9;
